@@ -28,6 +28,16 @@ std::vector<uint32_t> BfsDistances(const DirectedGraph& graph, Vertex source,
 /// Reusable BFS workspace for query loops: avoids the O(n) clear between
 /// BFS runs by epoch-stamping visited marks. Not thread-safe; use one per
 /// thread.
+///
+/// Run is direction-optimizing: a layer is expanded top-down (each
+/// frontier vertex pushes its unreached neighbours) while the frontier is
+/// small, and bottom-up (each unreached vertex, scanned in ascending id,
+/// probes its reverse-direction neighbours and stops at the first one on
+/// the frontier) while it is large. Switch rule (Beamer et al., SC'12): a
+/// layer runs bottom-up once the frontier is growing and its arcs times 14
+/// exceed the arcs of the unreached vertices, and goes back to top-down
+/// once the frontier holds fewer than n / 24 vertices. Both compute every
+/// distance exactly.
 class BfsWorkspace {
  public:
   explicit BfsWorkspace(const DirectedGraph& graph);
@@ -43,9 +53,14 @@ class BfsWorkspace {
     return epoch_of_[v] == epoch_ ? distance_[v] : kInfiniteDistance;
   }
 
-  /// Vertices reached by the last Run, in nondecreasing distance order
-  /// (BFS discovery order); the source itself is first.
+  /// Vertices reached by the last Run, in nondecreasing distance order;
+  /// the source itself is first. The set and each distance do not depend
+  /// on the step direction. Within one distance, a top-down layer lists
+  /// vertices in discovery order and a bottom-up layer in ascending id.
   const std::vector<Vertex>& Reached() const { return reached_; }
+
+  /// Layers the last Run expanded bottom-up.
+  uint32_t BottomUpLayers() const { return bottom_up_layers_; }
 
  private:
   const DirectedGraph& graph_;
@@ -53,6 +68,7 @@ class BfsWorkspace {
   std::vector<uint32_t> epoch_of_;
   std::vector<Vertex> reached_;
   uint32_t epoch_ = 0;
+  uint32_t bottom_up_layers_ = 0;
 };
 
 /// Number of weakly connected components and the size of the largest one.

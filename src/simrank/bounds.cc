@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "simrank/monte_carlo.h"
 #include "util/counter.h"
@@ -26,11 +27,12 @@ uint32_t AlphaRows(const SimRankParams& params, uint32_t max_distance) {
 
 // Shared beta assembly from a filled alpha table (Eq. 18):
 // beta(d) = sum_t c^t max_{max(0,d-t) <= d' <= d+t} alpha[d'][t].
-std::vector<double> AssembleBeta(const std::vector<std::vector<double>>& alpha,
+// `alpha` is the flat row-major table, alpha[d][t] at d * num_steps + t.
+std::vector<double> AssembleBeta(std::span<const double> alpha,
                                  const SimRankParams& params,
                                  uint32_t max_distance) {
   const uint32_t steps = params.num_steps;
-  const uint32_t rows = static_cast<uint32_t>(alpha.size());
+  const uint32_t rows = static_cast<uint32_t>(alpha.size() / steps);
   std::vector<double> beta(max_distance + 1, 0.0);
   for (uint32_t d = 0; d <= max_distance; ++d) {
     double sum = 0.0;
@@ -40,7 +42,7 @@ std::vector<double> AssembleBeta(const std::vector<std::vector<double>>& alpha,
       const uint32_t hi = std::min<uint32_t>(rows - 1, d + t);
       double best = 0.0;
       for (uint32_t dp = lo; dp <= hi; ++dp) {
-        best = std::max(best, alpha[dp][t]);
+        best = std::max(best, alpha[size_t{dp} * steps + t]);
       }
       sum += decay_pow * best;
       decay_pow *= params.decay;
@@ -165,14 +167,16 @@ std::vector<double> ComputeL1Beta(const DirectedGraph& graph,
   SIMRANK_CHECK_GE(num_walks, 1u);
   const uint32_t steps = params.num_steps;
   const uint32_t rows = AlphaRows(params, max_distance);
-  // alpha[d][t] per Eq. (17), estimated from the empirical measure of R
-  // walks (Algorithm 2).
-  std::vector<std::vector<double>> alpha(rows,
-                                         std::vector<double>(steps, 0.0));
-  // Walk scratch is scoped to this bound computation: mark/rewind hands the
-  // space back before the caller builds its walk profile in the same arena.
+  // Walk scratch and the alpha table are scoped to this bound computation:
+  // mark/rewind hands the space back before the caller builds its walk
+  // profile in the same arena.
   const Arena::Marker marker =
       arena != nullptr ? arena->Mark() : Arena::Marker{};
+  // alpha[d][t] per Eq. (17), estimated from the empirical measure of R
+  // walks (Algorithm 2); one flat rows x steps table.
+  const size_t alpha_size = static_cast<size_t>(rows) * steps;
+  ArenaVector<double> alpha(arena);
+  alpha.assign(alpha_size, 0.0);
   WalkSet walks(graph, query, num_walks, arena);
   WalkCounter counter(num_walks, arena);
   const double inv_walks = 1.0 / static_cast<double>(num_walks);
@@ -183,15 +187,18 @@ std::vector<double> ComputeL1Beta(const DirectedGraph& graph,
       const uint32_t d = distances.Distance(w);
       if (d >= rows) return;  // cannot affect beta(0..max_distance)
       const double mass = diagonal[w] * count * inv_walks;
-      alpha[d][t] = std::max(alpha[d][t], mass);
+      double& cell = alpha[size_t{d} * steps + t];
+      cell = std::max(cell, mass);
     });
     if (t + 1 < steps) {
       if (walks.AllDead()) break;
       walks.Advance(rng);
     }
   }
+  std::vector<double> beta =
+      AssembleBeta({alpha.data(), alpha.size()}, params, max_distance);
   if (arena != nullptr) arena->Rewind(marker);
-  return AssembleBeta(alpha, params, max_distance);
+  return beta;
 }
 
 std::vector<double> ComputeL1BetaExact(const DirectedGraph& graph,
@@ -205,8 +212,7 @@ std::vector<double> ComputeL1BetaExact(const DirectedGraph& graph,
   const uint32_t steps = params.num_steps;
   const uint32_t rows = AlphaRows(params, max_distance);
   const Vertex n = graph.NumVertices();
-  std::vector<std::vector<double>> alpha(rows,
-                                         std::vector<double>(steps, 0.0));
+  std::vector<double> alpha(static_cast<size_t>(rows) * steps, 0.0);
   std::vector<double> current(n, 0.0), next(n, 0.0);
   std::vector<Vertex> support, next_support;
   current[query] = 1.0;
@@ -215,7 +221,8 @@ std::vector<double> ComputeL1BetaExact(const DirectedGraph& graph,
     for (Vertex w : support) {
       const uint32_t d = distances.Distance(w);
       if (d >= rows) continue;
-      alpha[d][t] = std::max(alpha[d][t], diagonal[w] * current[w]);
+      double& cell = alpha[size_t{d} * steps + t];
+      cell = std::max(cell, diagonal[w] * current[w]);
     }
     if (t + 1 == steps) break;
     for (Vertex w : next_support) next[w] = 0.0;

@@ -104,8 +104,9 @@ class GammaTable {
 /// a BfsWorkspace run); walks only visit vertices within distance <=
 /// num_steps, so the BFS may be truncated there. Returns beta indexed by
 /// distance d = 0 .. max_distance. `arena`, when given, backs the walk
-/// scratch (the dominant allocation at the usual R = 10000); the call
-/// marks and rewinds it, so the caller's arena is returned untouched.
+/// scratch (the dominant allocation at the usual R = 10000) and the alpha
+/// table; the call marks and rewinds it, so the caller's arena is returned
+/// untouched.
 std::vector<double> ComputeL1Beta(const DirectedGraph& graph,
                                   const SimRankParams& params,
                                   const std::vector<double>& diagonal,

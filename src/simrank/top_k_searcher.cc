@@ -89,16 +89,18 @@ size_t WalkScratchBytes(size_t walks) {
 }
 
 // Upper bound on the arena high-water mark of one query under `options`:
-// the L1-bound scratch (rewound before the profile is built, but budgeted
-// additively for slack), one counter table per profile step, and the
-// largest candidate walk set (marked/rewound per candidate, so only one is
-// ever live). Sizing the first block to the full budget means a workspace
-// never chains a second block in steady state.
+// the L1-bound scratch and its (max_distance + T + 1) x T alpha table
+// (rewound before the profile is built, but budgeted additively for
+// slack), one counter table per profile step, and the largest candidate
+// walk set (marked/rewound per candidate, so only one is ever live).
+// Sizing the first block to the full budget means a workspace never chains
+// a second block in steady state.
 size_t QueryArenaBudget(const SearchOptions& options) {
   const size_t steps = options.simrank.num_steps;
   const size_t candidate_walks =
       std::max(options.estimate_walks, options.refine_walks);
   size_t bytes = WalkScratchBytes(options.l1_walks);
+  bytes += (options.max_distance + steps + 1) * steps * sizeof(double) + 64;
   bytes += options.profile_walks * sizeof(Vertex) + 64;
   bytes += steps * WalkScratchBytes(options.profile_walks);
   bytes += WalkScratchBytes(candidate_walks);
@@ -353,8 +355,16 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
   // workspace construction.
   workspace.arena_.Reset();
 
+  // In index mode a vertex without hubs has no candidates at all, so its
+  // answer is empty at any threshold: skip the BFS, bounds and profile.
+  if (options_.use_index && index_->HubsOf(query).empty()) {
+    stats.seconds = timer.ElapsedSeconds();
+    FlushQueryMetrics(stats, refine_walks, options_);
+    return result;
+  }
+
   // BFS from the query: distances feed the pruning bounds, and its
-  // discovery order doubles as the index-free candidate enumeration. The
+  // Reached() order doubles as the index-free candidate enumeration. The
   // horizon covers both d_max and the walk radius T-1 needed by the L1
   // bound's alpha table.
   {
@@ -443,8 +453,8 @@ QueryResult TopKSearcher::Query(Vertex query, QueryWorkspace& workspace,
       index_->ForEachCandidate(query, workspace.marks_, workspace.epoch_,
                                consider);
     } else {
-      // Ascending-distance scan (§2.2): BFS discovery order is sorted by
-      // distance, so the bound pruning sees nearer candidates first.
+      // Ascending-distance scan (§2.2): Reached() is sorted by distance,
+      // so the bound pruning sees nearer candidates first.
       for (Vertex v : workspace.bfs_.Reached()) consider(v);
     }
   }

@@ -333,6 +333,32 @@ TEST(SearcherEdgeCaseTest, IsolatedVertexReturnsEmpty) {
   EXPECT_TRUE(result.top.empty());
 }
 
+TEST(SearcherEdgeCaseTest, VerticesWithoutHubsAnswerEmpty) {
+  // In index mode a vertex without hubs has no candidates, so its answer is
+  // empty whatever the threshold; the searcher returns it without a BFS.
+  Rng rng(606);
+  const DirectedGraph web = MakeRmat(9, 3000, rng);
+  TopKSearcher searcher(web, DefaultOptions());
+  searcher.BuildIndex();
+  const CandidateIndex& index = *searcher.candidate_index();
+  QueryOverrides no_threshold;
+  no_threshold.threshold = 0.0;
+  Vertex hubless = 0;
+  for (Vertex v = 0; v < web.NumVertices(); ++v) {
+    // Index walks start at step 1, so a vertex no walk can leave has none.
+    if (web.InDegree(v) == 0) {
+      EXPECT_TRUE(index.HubsOf(v).empty()) << v;
+    }
+    if (!index.HubsOf(v).empty()) continue;
+    ++hubless;
+    const QueryResult result = searcher.Query(v);
+    EXPECT_TRUE(result.top.empty()) << v;
+    EXPECT_EQ(result.stats.candidates_enumerated, 0u) << v;
+    EXPECT_TRUE(searcher.Query(v, no_threshold).top.empty()) << v;
+  }
+  EXPECT_GT(hubless, 0u);
+}
+
 TEST(SearcherEdgeCaseTest, StarLeavesFindEachOther) {
   const DirectedGraph star = MakeStar(5);
   SearchOptions options = DefaultOptions();
