@@ -36,6 +36,7 @@
 #include "simrank/monte_carlo.h"
 #include "simrank/searcher_backend.h"
 #include "simrank/top_k_searcher.h"
+#include "simrank/walk_kernel.h"
 #include "util/counter.h"
 #include "util/rng.h"
 #include "util/top_k.h"
@@ -57,32 +58,10 @@ const DirectedGraph& BenchGraph() {
         1024, static_cast<uint64_t>(std::llround(300000.0 * g_bench_scale)));
     Rng rng(42);
     auto* g = new DirectedGraph(MakeRmat(bits, edges, rng));
-    // Layout gauges: the plain walk working set vs what the compressed
-    // overlay would occupy. Both land in the bench JSON's metrics block,
-    // so layout-size regressions show up next to the timing regressions.
+    // Layout gauge: the walk working set (the in-CSR) lands in the bench
+    // JSON's metrics block next to the timings.
     obs::MetricsRegistry::Default()
         .GetGauge("graph.bytes")
-        .Set(static_cast<int64_t>(g->WalkWorkingSetBytes()));
-    return g;
-  }();
-  return *graph;
-}
-
-// The same corpus under the hybrid compressed layout and the batched
-// (non-resident) kernel: the A/B counterpart of BenchGraph for the
-// BM_*Compressed cases. At bench scale the stats policy would keep the
-// graph uncompressed and resident, so the compressed cases pin the layout
-// big graphs get — low-degree rows varint-inline at the default cutoff,
-// hub rows escaped to plain element access.
-const DirectedGraph& CompressedBenchGraph() {
-  static const DirectedGraph* graph = [] {
-    auto* g = new DirectedGraph(BenchGraph());
-    WalkLayoutOptions options;
-    options.inline_cutoff = WalkLayoutOptions::kDefaultInlineCutoff;
-    options.resident_bytes = 0;  // prefetching kernel path
-    g->SetWalkLayout(options);
-    obs::MetricsRegistry::Default()
-        .GetGauge("graph.compressed.bytes")
         .Set(static_cast<int64_t>(g->WalkWorkingSetBytes()));
     return g;
   }();
@@ -107,27 +86,39 @@ void BM_WalkAdvance(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkAdvance)->Arg(10)->Arg(100)->Arg(1000);
 
-// A/B twin of BM_WalkAdvance on the varint-compressed layout (registered
-// adjacent so the pair runs back to back under the same machine
-// conditions). The delta between the pair is the decode cost the hybrid
-// policy weighs against the working-set shrink.
-void BM_WalkAdvanceCompressed(benchmark::State& state) {
-  const DirectedGraph& graph = CompressedBenchGraph();
-  Rng rng(1);
-  auto walks = std::make_unique<WalkSet>(
-      graph, 1, static_cast<uint32_t>(state.range(0)));
+// Opt-in (--full) large-graph case: MakeRmat(22, 2^25), ~155 MB of
+// in-CSR, far past the 64 MiB resident budget. Arg 0 pins the batched
+// prefetch loop, arg 1 the fused resident loop (through the test-only
+// internal::ForceWalkLoopForTesting seam), so the measurement behind
+// ResidentWalkLayout's cutoff stays reproducible in-tree. Walks start at
+// uniform vertices and are re-seeded once half have died, so the loads
+// range over the whole graph; items_per_second counts walk steps.
+void BM_WalkAdvanceLarge(benchmark::State& state) {
+  static DirectedGraph* graph = [] {
+    Rng rng(42);
+    return new DirectedGraph(MakeRmat(22, uint64_t{1} << 25, rng));
+  }();
+  internal::ForceWalkLoopForTesting(*graph, state.range(0) != 0);
+  constexpr uint32_t kWalks = 1u << 16;
+  std::vector<Vertex> positions(kWalks);
+  Rng rng(7);
+  const auto reseed = [&] {
+    for (Vertex& p : positions) p = rng.UniformIndex(graph->NumVertices());
+    return kWalks;
+  };
+  uint32_t live = reseed();
+  int64_t steps = 0;
   for (auto _ : state) {
-    walks->Advance(rng);
-    if (walks->AllDead()) {
+    steps += live;
+    live = AdvanceWalksCompact(*graph, positions, live, rng);
+    if (live < kWalks / 2) {
       state.PauseTiming();
-      walks = std::make_unique<WalkSet>(
-          graph, 1, static_cast<uint32_t>(state.range(0)));
+      live = reseed();
       state.ResumeTiming();
     }
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(steps);
 }
-BENCHMARK(BM_WalkAdvanceCompressed)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_WalkCounter(benchmark::State& state) {
   Rng rng(2);
@@ -175,26 +166,6 @@ void BM_ProfileBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ProfileBuild)->Arg(100)->Arg(1000);
-
-// A/B twin of BM_ProfileBuild on the compressed layout: profile
-// construction is the per-query walk workload end to end (kernel + fused
-// counting), so this pair bounds the end-to-end query cost of flipping
-// the layout policy.
-void BM_ProfileBuildCompressed(benchmark::State& state) {
-  const DirectedGraph& graph = CompressedBenchGraph();
-  SimRankParams params;
-  MonteCarloSimRank mc(graph, params,
-                       UniformDiagonal(graph.NumVertices(), params.decay));
-  Rng rng(12);
-  Vertex v = 0;
-  for (auto _ : state) {
-    v = (v + 37) % graph.NumVertices();
-    benchmark::DoNotOptimize(
-        mc.BuildProfile(v, static_cast<uint32_t>(state.range(0)), rng));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ProfileBuildCompressed)->Arg(100)->Arg(1000);
 
 void BM_ProfileEstimate(benchmark::State& state) {
   const DirectedGraph& graph = BenchGraph();
@@ -544,6 +515,11 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   const bench::BenchArgs args = bench::ParseArgs(argc, argv);
   g_bench_scale = args.scale;
+  if (args.full) {
+    benchmark::RegisterBenchmark("BM_WalkAdvanceLarge", BM_WalkAdvanceLarge)
+        ->Arg(0)
+        ->Arg(1);
+  }
 
   CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);

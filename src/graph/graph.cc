@@ -6,6 +6,13 @@ namespace simrank {
 
 namespace {
 
+// Walk working sets at or below this many bytes run the fused resident
+// loop; larger ones run the batched prefetch loop. Every registry graph
+// sits far below the cutoff, where the fused loop wins; on
+// MakeRmat(22, 2^25) (155 MB of in-CSR) the batched loop steps 1.4-3.4x
+// faster (docs/PERFORMANCE.md, "Walk layout").
+constexpr uint64_t kResidentWalkBytes = uint64_t{64} << 20;
+
 // Counting-sort style CSR construction for one direction.
 void BuildCsr(Vertex num_vertices, std::span<const Edge> edges, bool reverse,
               std::vector<uint64_t>& offsets, std::vector<Vertex>& targets) {
@@ -32,32 +39,25 @@ void BuildCsr(Vertex num_vertices, std::span<const Edge> edges, bool reverse,
 
 }  // namespace
 
+uint64_t InCsrBytes(uint64_t num_vertices, uint64_t num_edges) {
+  return (num_vertices + 1) * sizeof(uint64_t) + num_edges * sizeof(Vertex);
+}
+
+bool ResidentWalkLayout(uint64_t num_vertices, uint64_t num_edges) {
+  return InCsrBytes(num_vertices, num_edges) <= kResidentWalkBytes;
+}
+
+namespace internal {
+void ForceWalkLoopForTesting(DirectedGraph& graph, bool resident) {
+  graph.walk_resident_ = resident;
+}
+}  // namespace internal
+
 DirectedGraph::DirectedGraph(Vertex num_vertices, std::span<const Edge> edges)
     : num_vertices_(num_vertices) {
   BuildCsr(num_vertices, edges, /*reverse=*/false, out_offsets_, out_targets_);
   BuildCsr(num_vertices, edges, /*reverse=*/true, in_offsets_, in_targets_);
-  BuildWalkLayout(WalkLayoutOptions::FromStats(num_vertices, NumEdges()));
-}
-
-void DirectedGraph::SetWalkLayout(const WalkLayoutOptions& options) {
-  BuildWalkLayout(options);
-}
-
-void DirectedGraph::BuildWalkLayout(const WalkLayoutOptions& options) {
-  walk_options_ = options;
-  if (CompressedInCsr::Supported(num_vertices_, NumEdges())) {
-    in_compressed_ = CompressedInCsr(in_offsets_.data(), in_targets_.data(),
-                                     num_vertices_, options);
-  } else {
-    in_compressed_ = CompressedInCsr();
-  }
-  walk_resident_ = WalkWorkingSetBytes() <= options.resident_bytes;
-}
-
-uint64_t DirectedGraph::WalkWorkingSetBytes() const {
-  if (!in_compressed_.empty()) return in_compressed_.WorkingSetBytes();
-  return in_offsets_.size() * sizeof(uint64_t) +
-         in_targets_.size() * sizeof(Vertex);
+  walk_resident_ = ResidentWalkLayout(num_vertices, NumEdges());
 }
 
 bool DirectedGraph::HasEdge(Vertex u, Vertex v) const {

@@ -2,10 +2,6 @@
 
 #include <cstddef>
 
-#include "graph/compressed.h"
-#include "simrank/walk_kernel_simd.h"
-#include "util/simd.h"
-
 namespace simrank {
 
 namespace {
@@ -18,213 +14,126 @@ inline void PrefetchRead(const void* address) {
 #endif
 }
 
-using Cell = CompressedInCsr::Cell;
-
 // -------------------------------------------------------------------------
-// Resident fused path: narrow cells, working set fits the cache hierarchy.
+// Resident fused loops: the in-CSR fits the cache hierarchy.
 //
-// When the cells + targets the walks touch are cache-resident, the batched
-// machinery below is pure overhead: the prefetch sweeps request lines that
-// are already present, and staging bases/bounds/draws through lane arrays
-// adds L1 traffic to loads that would hit anyway. A single fused loop —
-// one 8-byte cell load, one inline Lemire draw, one element load per walk
-// — measures ~1.5-1.9x faster at this scale (docs/PERFORMANCE.md).
+// When the offsets + targets the walks touch are cache-resident, the
+// batched machinery below is pure overhead: the prefetch sweeps request
+// lines that are already present, and staging bases/bounds/draws through
+// lane arrays adds L1 traffic to loads that would hit anyway. A single
+// fused loop — one offset-row load, one inline Lemire draw, one element
+// load per walk — measures ~1.5-1.9x faster at this scale
+// (docs/PERFORMANCE.md).
 //
-// Draw-for-draw identical to every other path: one UniformIndex per
+// The generator runs in a local copy for the duration of each loop: with
+// the state behind the caller's reference, the compiler must round-trip
+// all four xoshiro words through memory every iteration (the position
+// stores could alias it), which puts a store-forward on the serial draw
+// chain — the critical path of these loops.
+//
+// Draw-for-draw identical to the batched loops: one UniformIndex per
 // surviving walk, in slot order.
 // -------------------------------------------------------------------------
 
-template <bool kHasInline>
-inline uint32_t AdvanceCompactResidentLoop(const WalkView& view,
-                                           Vertex* positions, uint32_t live,
-                                           Rng& rng) {
-  const Cell* cells = view.cells;
-  const Vertex* targets = view.targets;
-  const uint8_t* pool = view.pool;
-  // The generator runs in a local copy for the duration of the loop: with
-  // the state behind the caller's reference, the compiler must round-trip
-  // all four xoshiro words through memory every iteration (the position
-  // stores could alias it), which puts a store-forward on the serial draw
-  // chain — the critical path of this loop.
-  Rng local_rng = rng;
-  uint32_t i = 0;
-  while (i < live) {
-    const Cell cell = cells[positions[i]];
-    const uint32_t degree = cell.meta >> 1;
-    if (degree == 0) {
-      --live;
-      positions[i] = positions[live];
-      positions[live] = kNoVertex;
-      continue;
-    }
-    const uint32_t draw = local_rng.UniformIndex(degree);
-    const Vertex next = (kHasInline && (cell.meta & 1u) != 0)
-                            ? DecodeRowElement(pool + cell.base, draw)
-                            : targets[cell.base + draw];
-    positions[i] = next;
-    ++i;
-  }
-  rng = local_rng;
-  return live;
-}
-
-template <bool kHasInline>
 inline uint32_t AdvanceCompactResident(const WalkView& view,
                                        std::span<Vertex> positions,
                                        uint32_t live, Rng& rng,
                                        WalkCounter* counter) {
-  live = AdvanceCompactResidentLoop<kHasInline>(view, positions.data(), live,
-                                                rng);
+  const uint64_t* offsets = view.offsets;
+  const Vertex* targets = view.targets;
+  Vertex* slots = positions.data();
+  Rng local_rng = rng;
+  uint32_t i = 0;
+  while (i < live) {
+    const Vertex p = slots[i];
+    const uint64_t lo = offsets[p];
+    const uint64_t hi = offsets[p + 1];
+    if (lo == hi) {
+      --live;
+      slots[i] = slots[live];
+      slots[live] = kNoVertex;
+      continue;
+    }
+    slots[i] =
+        targets[lo + local_rng.UniformIndex(static_cast<uint32_t>(hi - lo))];
+    ++i;
+  }
+  rng = local_rng;
   // Count after the step rather than fused into it: swap-compaction leaves
   // the survivors in the [0, live) prefix in slot order, so one contiguous
   // 16-lane AddAllPresized pass replaces a per-walk scalar Add whose
   // hash -> probe serial chain would otherwise dominate counted stepping.
-  // Capacity contract as in the batched path: the caller presized the
+  // Capacity contract as in the batched loop: the caller presized the
   // counter for the pre-step live count, so this never grows.
-  if (counter != nullptr) {
-    counter->AddAllPresized({positions.data(), live});
-  }
+  if (counter != nullptr) counter->AddAllPresized({slots, live});
   return live;
 }
 
+inline uint32_t StepInPlaceResident(const WalkView& view,
+                                    std::span<Vertex> positions, Rng& rng) {
+  const uint64_t* offsets = view.offsets;
+  const Vertex* targets = view.targets;
+  Rng local_rng = rng;
+  uint32_t alive = 0;
+  for (Vertex& p : positions) {
+    if (p == kNoVertex) continue;
+    const uint64_t lo = offsets[p];
+    const uint64_t hi = offsets[p + 1];
+    if (lo == hi) {
+      p = kNoVertex;
+      continue;
+    }
+    p = targets[lo + local_rng.UniformIndex(static_cast<uint32_t>(hi - lo))];
+    ++alive;
+  }
+  rng = local_rng;
+  return alive;
+}
+
+// Safe under vertices == out: slot i is fully consumed before out[i] is
+// written.
+inline void SampleResident(const WalkView& view,
+                           std::span<const Vertex> vertices, Rng& rng,
+                           Vertex* out) {
+  const uint64_t* offsets = view.offsets;
+  const Vertex* targets = view.targets;
+  Rng local_rng = rng;
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    const Vertex v = vertices[i];
+    if (v == kNoVertex) {
+      out[i] = kNoVertex;
+      continue;
+    }
+    const uint64_t lo = offsets[v];
+    const uint64_t hi = offsets[v + 1];
+    out[i] = lo == hi ? kNoVertex
+                      : targets[lo + local_rng.UniformIndex(
+                                         static_cast<uint32_t>(hi - lo))];
+  }
+  rng = local_rng;
+}
+
 // -------------------------------------------------------------------------
-// Batched prefetching path over narrow cells: working set exceeds cache.
+// Batched prefetch loops: the in-CSR exceeds the cache hierarchy.
 //
-// Same 3-pass structure as the wide fallback below, but pass 1 resolves a
-// row with a single 8-byte cell load instead of two adjacent uint64s, and
-// pass 3's gather routes through the AVX2 hardware gather when the layout
-// has no inline rows (escape bases are uint32 indexes into targets).
+// Three passes over blocks of up to kWalkBatchSize walks: resolve offset
+// rows (prefetching kWalkPrefetchDistance slots ahead), draw every bound
+// in one Rng::UniformIndexBatch call, then gather after a prefetch sweep
+// that puts every lane's element miss in flight at once.
 // -------------------------------------------------------------------------
 
 inline uint32_t AdvanceCompactBatched(const WalkView& view,
                                       std::span<Vertex> positions,
                                       uint32_t live, Rng& rng,
                                       WalkCounter* counter) {
-  const Cell* cells = view.cells;
-  const Vertex* targets = view.targets;
-  const uint8_t* pool = view.pool;
-  // Tiny populations can't amortize the batch machinery; the fused loop is
-  // draw-for-draw identical, so the cutoff is invisible to callers.
-  if (live <= 2 * kWalkPrefetchDistance) {
-    return view.has_inline
-               ? AdvanceCompactResident<true>(view, positions, live, rng,
-                                              counter)
-               : AdvanceCompactResident<false>(view, positions, live, rng,
-                                               counter);
-  }
-  uint32_t base[kWalkBatchSize];
-  uint32_t meta[kWalkBatchSize];
-  uint32_t bound[kWalkBatchSize];
-  uint32_t draw[kWalkBatchSize];
-  // Fused counting runs one block behind the gather (see the wide path).
-  uint32_t pending_start = 0;
-  uint32_t pending_lanes = 0;
-  const bool has_inline = view.has_inline;
-  const bool hw_gather = !has_inline && simd::UseAvx2();
-  uint32_t i = 0;
-  while (i < live) {
-    const uint32_t block_start = i;
-    uint32_t lanes = 0;
-    while (i < live && lanes < kWalkBatchSize) {
-      const uint32_t ahead = i + kWalkPrefetchDistance;
-      if (ahead < live) PrefetchRead(&cells[positions[ahead]]);
-      const Cell cell = cells[positions[i]];
-      const uint32_t degree = cell.meta >> 1;
-      if (degree == 0) {
-        --live;
-        positions[i] = positions[live];
-        positions[live] = kNoVertex;
-        continue;
-      }
-      base[lanes] = cell.base;
-      meta[lanes] = cell.meta;
-      bound[lanes] = degree;
-      ++lanes;
-      ++i;
-    }
-    if (lanes == 0) break;
-    rng.UniformIndexBatch({bound, lanes}, draw);
-    // Prefetch sweep: every lane's element miss in flight at once. Inline
-    // rows prefetch the varint bytes (the decode reads from base forward).
-    if (has_inline) {
-      for (uint32_t lane = 0; lane < lanes; ++lane) {
-        if ((meta[lane] & 1u) != 0) {
-          PrefetchRead(pool + base[lane]);
-        } else {
-          PrefetchRead(&targets[base[lane] + draw[lane]]);
-        }
-      }
-    } else {
-      for (uint32_t lane = 0; lane < lanes; ++lane) {
-        PrefetchRead(&targets[base[lane] + draw[lane]]);
-      }
-    }
-    if (counter != nullptr && pending_lanes > 0) {
-      counter->AddAllPresized(
-          {positions.data() + pending_start, pending_lanes});
-    }
-    if (hw_gather) {
-      internal::GatherWalkTargetsAvx2(targets, base, draw, lanes,
-                                      positions.data() + block_start);
-    } else if (has_inline) {
-      for (uint32_t lane = 0; lane < lanes; ++lane) {
-        positions[block_start + lane] =
-            ((meta[lane] & 1u) != 0)
-                ? DecodeRowElement(pool + base[lane], draw[lane])
-                : targets[base[lane] + draw[lane]];
-      }
-    } else {
-      for (uint32_t lane = 0; lane < lanes; ++lane) {
-        positions[block_start + lane] = targets[base[lane] + draw[lane]];
-      }
-    }
-    // Cross-step prefetch of the new positions' cells (see the wide path).
-    for (uint32_t lane = 0; lane < lanes; ++lane) {
-      PrefetchRead(&cells[positions[block_start + lane]]);
-    }
-    pending_start = block_start;
-    pending_lanes = lanes;
-  }
-  if (counter != nullptr && pending_lanes > 0) {
-    counter->AddAllPresized({positions.data() + pending_start, pending_lanes});
-  }
-  return live;
-}
-
-// -------------------------------------------------------------------------
-// Wide fallback: plain uint64 CSR, for graphs past the narrow-layout
-// limits (>2B edges). Kept verbatim as the determinism reference the
-// golden tests compare every other path against.
-// -------------------------------------------------------------------------
-
-inline uint32_t AdvanceCompactWide(const uint64_t* offsets,
-                                   const Vertex* targets,
-                                   std::span<Vertex> positions, uint32_t live,
-                                   Rng& rng, WalkCounter* counter) {
   // Tiny populations can't amortize the batch machinery (stack lanes,
-  // prefetch sweeps): step them with the plain scalar loop. Draw-for-draw
-  // identical to the batched path — one UniformIndex per surviving walk in
-  // slot order — so the cutoff is invisible to callers.
+  // prefetch sweeps); the fused loop is draw-for-draw identical, so the
+  // cutoff is invisible to callers.
   if (live <= 2 * kWalkPrefetchDistance) {
-    uint32_t i = 0;
-    while (i < live) {
-      const Vertex p = positions[i];
-      const uint64_t lo = offsets[p];
-      const uint64_t hi = offsets[p + 1];
-      if (lo == hi) {
-        --live;
-        positions[i] = positions[live];
-        positions[live] = kNoVertex;
-        continue;
-      }
-      const Vertex next =
-          targets[lo + rng.UniformIndex(static_cast<uint32_t>(hi - lo))];
-      positions[i] = next;
-      if (counter != nullptr) counter->Add(next);
-      ++i;
-    }
-    return live;
+    return AdvanceCompactResident(view, positions, live, rng, counter);
   }
+  const uint64_t* offsets = view.offsets;
+  const Vertex* targets = view.targets;
   uint64_t base[kWalkBatchSize];
   uint32_t bound[kWalkBatchSize];
   uint32_t draw[kWalkBatchSize];
@@ -298,79 +207,8 @@ inline uint32_t AdvanceCompactWide(const uint64_t* offsets,
   return live;
 }
 
-// Routes one compact advance through the layout the graph was built with:
-// narrow cells take the fused loop when cache-resident and the batched
-// prefetching loop otherwise; graphs past the narrow limits fall back to
-// the wide path. All routes consume the identical draw stream.
-inline uint32_t AdvanceWalksCompactImpl(const DirectedGraph& graph,
-                                        std::span<Vertex> positions,
-                                        uint32_t live, Rng& rng,
-                                        WalkCounter* counter) {
-  SIMRANK_CHECK_LE(live, positions.size());
-  const WalkView view = graph.walk_view();
-  if (view.cells != nullptr) {
-    if (view.resident) {
-      return view.has_inline
-                 ? AdvanceCompactResident<true>(view, positions, live, rng,
-                                                counter)
-                 : AdvanceCompactResident<false>(view, positions, live, rng,
-                                                 counter);
-    }
-    return AdvanceCompactBatched(view, positions, live, rng, counter);
-  }
-  return AdvanceCompactWide(view.offsets, view.targets, positions, live, rng,
-                            counter);
-}
-
-}  // namespace
-
-uint32_t AdvanceWalksCompact(const DirectedGraph& graph,
-                             std::span<Vertex> positions, uint32_t live,
-                             Rng& rng) {
-  return AdvanceWalksCompactImpl(graph, positions, live, rng, nullptr);
-}
-
-uint32_t AdvanceWalksCompactCounted(const DirectedGraph& graph,
-                                    std::span<Vertex> positions, uint32_t live,
-                                    Rng& rng, WalkCounter& counter) {
-  return AdvanceWalksCompactImpl(graph, positions, live, rng, &counter);
-}
-
-uint32_t StepWalksInPlace(const DirectedGraph& graph,
-                          std::span<Vertex> positions, Rng& rng) {
-  const WalkView view = graph.walk_view();
-  if (view.cells != nullptr) {
-    // Slot-preserving step over narrow cells. Fused like the resident
-    // compact path; for non-resident working sets a fixed-distance cell
-    // prefetch recovers most of the batched path's overlap without the
-    // lane bookkeeping (slot identity already forces per-slot stores).
-    const Cell* cells = view.cells;
-    const bool lookahead = !view.resident;
-    const size_t n = positions.size();
-    uint32_t alive = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (lookahead) {
-        const size_t ahead = i + kWalkPrefetchDistance;
-        if (ahead < n && positions[ahead] != kNoVertex) {
-          PrefetchRead(&cells[positions[ahead]]);
-        }
-      }
-      const Vertex p = positions[i];
-      if (p == kNoVertex) continue;
-      const Cell cell = cells[p];
-      const uint32_t degree = cell.meta >> 1;
-      if (degree == 0) {
-        positions[i] = kNoVertex;
-        continue;
-      }
-      const uint32_t draw = rng.UniformIndex(degree);
-      positions[i] = ((cell.meta & 1u) != 0)
-                         ? DecodeRowElement(view.pool + cell.base, draw)
-                         : view.targets[cell.base + draw];
-      ++alive;
-    }
-    return alive;
-  }
+inline uint32_t StepInPlaceBatched(const WalkView& view,
+                                   std::span<Vertex> positions, Rng& rng) {
   const uint64_t* offsets = view.offsets;
   const Vertex* targets = view.targets;
   uint64_t base[kWalkBatchSize];
@@ -381,7 +219,7 @@ uint32_t StepWalksInPlace(const DirectedGraph& graph,
   uint32_t alive = 0;
   size_t i = 0;
   while (i < n) {
-    // Pass 1 as in the wide compact path, but dead walks keep their slot
+    // Pass 1 as in the compact loop, but dead walks keep their slot
     // (kNoVertex tombstone) and each lane remembers which slot it serves.
     uint32_t lanes = 0;
     while (i < n && lanes < kWalkBatchSize) {
@@ -416,7 +254,7 @@ uint32_t StepWalksInPlace(const DirectedGraph& graph,
       positions[slot[lane]] = targets[base[lane] + draw[lane]];
     }
     // Cross-step prefetch of the new positions' offset rows (see
-    // AdvanceCompactWide).
+    // AdvanceCompactBatched).
     for (uint32_t lane = 0; lane < lanes; ++lane) {
       PrefetchRead(&offsets[positions[slot[lane]]]);
     }
@@ -425,48 +263,16 @@ uint32_t StepWalksInPlace(const DirectedGraph& graph,
   return alive;
 }
 
-void SampleInNeighbors(const DirectedGraph& graph,
-                       std::span<const Vertex> vertices, Rng& rng,
-                       Vertex* out) {
-  const WalkView view = graph.walk_view();
-  const size_t n = vertices.size();
-  if (view.cells != nullptr) {
-    // Fused single-draw sampling over narrow cells; safe under
-    // vertices == out because slot i is fully consumed before out[i] is
-    // written (the lookahead prefetch tolerates stale values).
-    const Cell* cells = view.cells;
-    const bool lookahead = !view.resident;
-    for (size_t i = 0; i < n; ++i) {
-      if (lookahead) {
-        const size_t ahead = i + kWalkPrefetchDistance;
-        if (ahead < n && vertices[ahead] != kNoVertex) {
-          PrefetchRead(&cells[vertices[ahead]]);
-        }
-      }
-      const Vertex v = vertices[i];
-      if (v == kNoVertex) {
-        out[i] = kNoVertex;
-        continue;
-      }
-      const Cell cell = cells[v];
-      const uint32_t degree = cell.meta >> 1;
-      if (degree == 0) {
-        out[i] = kNoVertex;
-        continue;
-      }
-      const uint32_t draw = rng.UniformIndex(degree);
-      out[i] = ((cell.meta & 1u) != 0)
-                   ? DecodeRowElement(view.pool + cell.base, draw)
-                   : view.targets[cell.base + draw];
-    }
-    return;
-  }
+inline void SampleBatched(const WalkView& view,
+                          std::span<const Vertex> vertices, Rng& rng,
+                          Vertex* out) {
   const uint64_t* offsets = view.offsets;
   const Vertex* targets = view.targets;
   uint64_t base[kWalkBatchSize];
   uint32_t bound[kWalkBatchSize];
   uint32_t draw[kWalkBatchSize];
   uint32_t slot[kWalkBatchSize];
+  const size_t n = vertices.size();
   size_t i = 0;
   // Aliasing note: each batch reads vertices[] only from its own slot range
   // (plus prefetch peeks ahead, which tolerate stale values) before writing
@@ -505,6 +311,49 @@ void SampleInNeighbors(const DirectedGraph& graph,
     for (uint32_t lane = 0; lane < lanes; ++lane) {
       out[slot[lane]] = targets[base[lane] + draw[lane]];
     }
+  }
+}
+
+inline uint32_t AdvanceWalksCompactImpl(const DirectedGraph& graph,
+                                        std::span<Vertex> positions,
+                                        uint32_t live, Rng& rng,
+                                        WalkCounter* counter) {
+  SIMRANK_CHECK_LE(live, positions.size());
+  const WalkView view = graph.walk_view();
+  return view.resident
+             ? AdvanceCompactResident(view, positions, live, rng, counter)
+             : AdvanceCompactBatched(view, positions, live, rng, counter);
+}
+
+}  // namespace
+
+uint32_t AdvanceWalksCompact(const DirectedGraph& graph,
+                             std::span<Vertex> positions, uint32_t live,
+                             Rng& rng) {
+  return AdvanceWalksCompactImpl(graph, positions, live, rng, nullptr);
+}
+
+uint32_t AdvanceWalksCompactCounted(const DirectedGraph& graph,
+                                    std::span<Vertex> positions, uint32_t live,
+                                    Rng& rng, WalkCounter& counter) {
+  return AdvanceWalksCompactImpl(graph, positions, live, rng, &counter);
+}
+
+uint32_t StepWalksInPlace(const DirectedGraph& graph,
+                          std::span<Vertex> positions, Rng& rng) {
+  const WalkView view = graph.walk_view();
+  return view.resident ? StepInPlaceResident(view, positions, rng)
+                       : StepInPlaceBatched(view, positions, rng);
+}
+
+void SampleInNeighbors(const DirectedGraph& graph,
+                       std::span<const Vertex> vertices, Rng& rng,
+                       Vertex* out) {
+  const WalkView view = graph.walk_view();
+  if (view.resident) {
+    SampleResident(view, vertices, rng, out);
+  } else {
+    SampleBatched(view, vertices, rng, out);
   }
 }
 

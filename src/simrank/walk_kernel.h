@@ -5,18 +5,21 @@
 // estimator in this library bottoms out in (Algorithms 1-4 all reduce to
 // stepping R walks T times through RandomInNeighbor).
 //
-// The kernel advances a structure-of-arrays block of walk positions one
-// step at a time:
+// Every entry point has two loops over the plain in-CSR, chosen per graph
+// by DirectedGraph::walk_view().resident (ResidentWalkLayout: in-CSR of
+// at most 64 MiB):
 //
-//  1. A degree pass resolves each live walk's in-offset row, software-
-//     prefetching the row of the walk `kWalkPrefetchDistance` slots ahead
-//     so the dependent random load of in_offsets[position] overlaps with
-//     arithmetic instead of serializing on it.
-//  2. The per-walk bounds are fed to Rng::UniformIndexBatch (Lemire's
-//     nearly-divisionless sampling: one 64-bit multiply per draw, no
-//     division on the fast path).
-//  3. A gather pass moves each walk to in_targets[base + draw], again
-//     prefetching the neighbor slab one batch slot ahead.
+//  - Resident: one fused loop per walk — offset-row load, inline Lemire
+//    draw, element load — with the generator held in registers. Wins
+//    whenever the in-CSR is cache-resident, which covers every registry
+//    graph.
+//  - Batched: a structure-of-arrays block of walks is advanced in three
+//    passes. A degree pass resolves each live walk's in-offset row,
+//    software-prefetching the row of the walk `kWalkPrefetchDistance`
+//    slots ahead; the per-walk bounds are fed to Rng::UniformIndexBatch;
+//    a gather pass moves each walk to in_targets[base + draw] after a
+//    prefetch sweep over the whole block. Wins once the in-CSR outgrows
+//    the caches.
 //
 // Two stepping disciplines are offered:
 //
@@ -30,7 +33,8 @@
 //    surfer-pair baseline.
 //
 // Determinism: draws are consumed in slot order, one per surviving walk,
-// so a fixed Rng stream fixes every trajectory regardless of batch size.
+// so a fixed Rng stream fixes every trajectory regardless of loop or
+// batch size.
 //
 // docs/PERFORMANCE.md records the design and the measured speedups.
 

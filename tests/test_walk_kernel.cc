@@ -13,7 +13,6 @@
 #include "test_helpers.h"
 #include "util/counter.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace simrank {
 namespace {
@@ -202,15 +201,14 @@ TEST(WalkKernelTest, EmptyInputsAreNoOps) {
   EXPECT_EQ(rng.Next(), fresh.Next());
 }
 
-// --- Layout / dispatch golden tests -------------------------------------
+// --- Walk-loop golden tests ----------------------------------------------
 //
-// The determinism contract: every kernel path — fused resident loop,
-// batched prefetch loop, inline-compressed rows, AVX2 gather — consumes
-// the RNG stream draw-for-draw identically. These tests pin each layout
-// and dispatch mode in turn against the same seed and require bit-equal
-// position streams.
+// The determinism contract: the fused resident loop and the batched
+// prefetch loop consume the RNG stream draw-for-draw identically. These
+// tests pin each loop in turn (internal::ForceWalkLoopForTesting) against
+// the same seed and require bit-equal position streams.
 
-// Runs `steps` counted advances under the graph's current layout and
+// Runs `steps` counted advances under the graph's current loop and
 // returns the concatenated position stream (positions after each step).
 std::vector<Vertex> WalkStream(const DirectedGraph& graph, Vertex origin,
                                uint32_t num_walks, int steps, uint64_t seed) {
@@ -230,31 +228,15 @@ std::vector<Vertex> WalkStream(const DirectedGraph& graph, Vertex origin,
   return stream;
 }
 
-// Layout variants applied to copies of one graph. resident_bytes = 0
-// forces the batched prefetch path; a huge resident budget forces the
-// fused loop; the cutoffs toggle inline compression.
-std::vector<WalkLayoutOptions> LayoutMatrix() {
-  WalkLayoutOptions resident_plain;
-  resident_plain.resident_bytes = ~0ull;
-  WalkLayoutOptions batched_plain;
-  batched_plain.resident_bytes = 0;
-  WalkLayoutOptions resident_inline = resident_plain;
-  resident_inline.inline_cutoff = 1000000;
-  WalkLayoutOptions batched_inline = batched_plain;
-  batched_inline.inline_cutoff = 1000000;
-  WalkLayoutOptions batched_hybrid = batched_plain;
-  batched_hybrid.inline_cutoff = 4;
-  return {resident_plain, batched_plain, resident_inline, batched_inline,
-          batched_hybrid};
-}
+// The two walk loops, resident first (the reference).
+std::vector<bool> LayoutMatrix() { return {true, false}; }
 
 TEST(WalkKernelGoldenTest, AllLayoutsProduceOneStream) {
   const uint32_t n = 400;
   DirectedGraph graph = testing::SmallRandomGraph(n, 31, 600);
   std::vector<Vertex> reference;
-  int variant = 0;
-  for (const WalkLayoutOptions& options : LayoutMatrix()) {
-    graph.SetWalkLayout(options);
+  for (const bool resident : LayoutMatrix()) {
+    internal::ForceWalkLoopForTesting(graph, resident);
     // Streams for three origins, concatenated: exercises dying walks
     // (low-id BA vertices are hubs, high ids may have in-degree 0).
     std::vector<Vertex> combined;
@@ -262,39 +244,17 @@ TEST(WalkKernelGoldenTest, AllLayoutsProduceOneStream) {
       const auto stream = WalkStream(graph, origin, 333, 8, 12345 + origin);
       combined.insert(combined.end(), stream.begin(), stream.end());
     }
-    if (variant == 0) reference = combined;
-    EXPECT_EQ(combined, reference) << "layout variant " << variant;
-    ++variant;
+    if (resident) reference = combined;
+    EXPECT_EQ(combined, reference) << "resident " << resident;
   }
-  // Restore the default policy for any later test sharing the fixture.
-  graph.SetWalkLayout(
-      WalkLayoutOptions::FromStats(graph.NumVertices(), graph.NumEdges()));
-}
-
-TEST(WalkKernelGoldenTest, ScalarAndAvx2DispatchAreBitIdentical) {
-  DirectedGraph graph = testing::SmallRandomGraph(500, 77, 800);
-  WalkLayoutOptions batched;
-  batched.resident_bytes = 0;  // the only path with SIMD in it
-  graph.SetWalkLayout(batched);
-  simd::SetMode(simd::Mode::kScalar);
-  const auto scalar = WalkStream(graph, 3, 512, 10, 999);
-  if (simd::CpuHasAvx2()) {
-    simd::SetMode(simd::Mode::kAvx2);
-    const auto vectored = WalkStream(graph, 3, 512, 10, 999);
-    EXPECT_EQ(vectored, scalar);
-  }
-  simd::SetMode(simd::Mode::kAuto);
-  const auto automatic = WalkStream(graph, 3, 512, 10, 999);
-  EXPECT_EQ(automatic, scalar);
 }
 
 TEST(WalkKernelGoldenTest, StepWalksInPlaceMatchesAcrossLayouts) {
   const uint32_t n = 300;
   DirectedGraph graph = testing::SmallRandomGraph(n, 13, 400);
   std::vector<Vertex> reference;
-  int variant = 0;
-  for (const WalkLayoutOptions& options : LayoutMatrix()) {
-    graph.SetWalkLayout(options);
+  for (const bool resident : LayoutMatrix()) {
+    internal::ForceWalkLoopForTesting(graph, resident);
     std::vector<Vertex> positions(256);
     for (size_t i = 0; i < positions.size(); ++i) {
       positions[i] = static_cast<Vertex>((i * 7) % n);
@@ -303,11 +263,10 @@ TEST(WalkKernelGoldenTest, StepWalksInPlaceMatchesAcrossLayouts) {
     positions[100] = kNoVertex;
     Rng rng(4242);
     for (int s = 0; s < 6; ++s) StepWalksInPlace(graph, positions, rng);
-    if (variant == 0) reference = positions;
-    EXPECT_EQ(positions, reference) << "layout variant " << variant;
+    if (resident) reference = positions;
+    EXPECT_EQ(positions, reference) << "resident " << resident;
     EXPECT_EQ(positions[5], kNoVertex);
     EXPECT_EQ(positions[100], kNoVertex);
-    ++variant;
   }
 }
 
@@ -319,16 +278,32 @@ TEST(WalkKernelGoldenTest, SampleInNeighborsMatchesAcrossLayouts) {
     sources[i] = static_cast<Vertex>((i * 11) % n);
   }
   std::vector<Vertex> reference;
-  int variant = 0;
-  for (const WalkLayoutOptions& options : LayoutMatrix()) {
-    graph.SetWalkLayout(options);
+  for (const bool resident : LayoutMatrix()) {
+    internal::ForceWalkLoopForTesting(graph, resident);
     std::vector<Vertex> out(sources.size());
     Rng rng(31337);
     SampleInNeighbors(graph, sources, rng, out.data());
-    if (variant == 0) reference = out;
-    EXPECT_EQ(out, reference) << "layout variant " << variant;
-    ++variant;
+    if (resident) reference = out;
+    EXPECT_EQ(out, reference) << "resident " << resident;
   }
+}
+
+TEST(WalkKernelLayoutTest, ResidentCutoffIsSixtyFourMebibytes) {
+  // The in-CSR is (n+1) * 8 + m * 4 bytes, so sizes move in 4-byte steps
+  // per arc: with n + 1 = 2^20 offsets (8 MiB), 14,680,064 arcs fill the
+  // 64 MiB budget exactly, and one arc less or more lands 4 bytes on
+  // either side of it — the nearest sizes the graph can take.
+  const uint64_t n = (uint64_t{1} << 20) - 1;
+  const uint64_t m = ((uint64_t{64} << 20) - (n + 1) * 8) / 4;
+  ASSERT_EQ(InCsrBytes(n, m), uint64_t{64} << 20);
+  EXPECT_TRUE(ResidentWalkLayout(n, m - 1));
+  EXPECT_TRUE(ResidentWalkLayout(n, m));
+  EXPECT_FALSE(ResidentWalkLayout(n, m + 1));
+  // Trading one vertex for two arcs keeps the size: still exactly 64 MiB.
+  EXPECT_TRUE(ResidentWalkLayout(n - 1, m + 2));
+  EXPECT_FALSE(ResidentWalkLayout(n + 1, m));
+  // Small graphs — every registry dataset — run the resident loop.
+  EXPECT_TRUE(testing::SmallRandomGraph(100, 7, 300).walk_view().resident);
 }
 
 }  // namespace
