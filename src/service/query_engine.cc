@@ -109,16 +109,6 @@ uint64_t EstimateWalks(const QueryStats& stats, const SearchOptions& search,
 
 }  // namespace
 
-/// Serving-layer scratch: the group-vote accumulator the engine's own
-/// group loop needs (the engine re-implements the group aggregation so it
-/// can check the deadline between members). Backends pool their own
-/// per-query kernel scratch internally.
-struct QueryEngine::Workspace {
-  /// Dense per-vertex score accumulator, kept zeroed between uses.
-  std::vector<double> votes;
-  std::vector<Vertex> touched;
-};
-
 Status ValidateEngineOptions(const EngineOptions& options) {
   SIMRANK_RETURN_IF_ERROR(options.search.Validate());
   SIMRANK_RETURN_IF_ERROR(options.backend_policy.Validate());
@@ -202,9 +192,6 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Finish(
     engine->cache_ = std::make_unique<ResultCache>(
         engine->options_.cache_capacity, engine->options_.cache_shards);
   }
-  // Enough pooled workspaces for every worker plus a couple of synchronous
-  // callers; beyond that, bursts allocate and drop.
-  engine->max_pooled_workspaces_ = engine->pool_.num_threads() * 2 + 2;
   // The PR 3 watermark is a legacy alias for the admission controller's
   // degrade watermark; an explicit admission.degrade_watermark wins.
   if (engine->options_.admission.degrade_watermark == 0) {
@@ -505,26 +492,6 @@ size_t QueryEngine::CacheSize() const {
   return cache_ != nullptr ? cache_->size() : 0;
 }
 
-std::unique_ptr<QueryEngine::Workspace> QueryEngine::AcquireWorkspace() {
-  {
-    MutexLock lock(workspace_mutex_);
-    if (!workspace_freelist_.empty()) {
-      std::unique_ptr<Workspace> workspace =
-          std::move(workspace_freelist_.back());
-      workspace_freelist_.pop_back();
-      return workspace;
-    }
-  }
-  return std::make_unique<Workspace>();
-}
-
-void QueryEngine::ReleaseWorkspace(std::unique_ptr<Workspace> workspace) {
-  MutexLock lock(workspace_mutex_);
-  if (workspace_freelist_.size() < max_pooled_workspaces_) {
-    workspace_freelist_.push_back(std::move(workspace));
-  }
-}
-
 Result<QueryResponse> QueryEngine::Execute(const QueryRequest& request,
                                            double queue_seconds,
                                            bool submitted) {
@@ -690,9 +657,7 @@ Result<QueryResponse> QueryEngine::ExecuteStages(const QueryRequest& request,
   // Stage 4: run the backend.
   const SearcherBackend& backend = GetOrCreateBackend(backend_kind);
   if (request.is_group()) {
-    std::unique_ptr<Workspace> workspace = AcquireWorkspace();
-    RunGroup(request, backend, *workspace, overrides, k, response);
-    ReleaseWorkspace(std::move(workspace));
+    RunGroup(request, backend, overrides, k, response);
   } else {
     QueryResult result = backend.Query(request.vertices.front(), overrides);
     response.top = std::move(result.top);
@@ -717,18 +682,12 @@ Result<QueryResponse> QueryEngine::ExecuteStages(const QueryRequest& request,
 
 void QueryEngine::RunGroup(const QueryRequest& request,
                            const SearcherBackend& backend,
-                           Workspace& workspace,
                            const QueryOverrides& overrides,
                            uint32_t effective_k, QueryResponse& response) {
-  // Mirrors SearcherBackend::QueryGroup step for step (same member order,
-  // vote accumulation and collector order, so results are bit-identical),
-  // with a deadline check between members: on expiry the loop stops and
-  // the ranking/stats of the members already run are returned as the
-  // partial answer.
-  std::vector<double>& votes = workspace.votes;
-  votes.resize(graph_.NumVertices(), 0.0);
-  std::vector<Vertex>& touched = workspace.touched;
-  touched.clear();
+  // Members run in request order with a deadline check between them: on
+  // expiry the loop stops and the ranking/stats of the members already
+  // run are returned as the partial answer.
+  std::vector<ScoredVertex> votes;
   size_t completed = 0;
   for (Vertex member : request.vertices) {
     if (DeadlinePassed(request.deadline)) {
@@ -739,19 +698,31 @@ void QueryEngine::RunGroup(const QueryRequest& request,
     }
     const QueryResult member_result = backend.Query(member, overrides);
     response.stats += member_result.stats;
-    for (const ScoredVertex& entry : member_result.top) {
-      if (votes[entry.vertex] == 0.0) touched.push_back(entry.vertex);
-      votes[entry.vertex] += entry.score;
-    }
+    votes.insert(votes.end(), member_result.top.begin(),
+                 member_result.top.end());
     ++completed;
   }
-  // Group members never recommend themselves.
-  for (Vertex member : request.vertices) votes[member] = 0.0;
+  // Merge the at most |group| * k votes: a stable sort by vertex keeps
+  // each vertex's votes in member order, so its sum adds them left to
+  // right in that order and the vertex reaches the collector once.
+  std::stable_sort(votes.begin(), votes.end(),
+                   [](const ScoredVertex& a, const ScoredVertex& b) {
+                     return a.vertex < b.vertex;
+                   });
+  std::vector<Vertex> members = request.vertices;
+  std::sort(members.begin(), members.end());
   TopKCollector collector(effective_k);
-  for (Vertex v : touched) {
-    if (votes[v] > 0.0) collector.Push(v, votes[v]);
+  for (size_t i = 0; i < votes.size();) {
+    const Vertex v = votes[i].vertex;
+    double sum = votes[i].score;
+    for (++i; i < votes.size() && votes[i].vertex == v; ++i) {
+      sum += votes[i].score;
+    }
+    // Group members never recommend themselves.
+    if (sum > 0.0 && !std::binary_search(members.begin(), members.end(), v)) {
+      collector.Push(v, sum);
+    }
   }
-  for (Vertex v : touched) votes[v] = 0.0;  // leave the workspace clean
   response.top = collector.TakeSorted();
 }
 

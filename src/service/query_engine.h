@@ -6,15 +6,16 @@
 //
 // The engine owns a set of query backends (the Monte-Carlo kernel, the
 // SLING-style precomputed index, the exact oracle — see
-// simrank/searcher_backend.h), a thread pool, a pool of reusable
-// per-thread workspaces, and a sharded LRU result cache. Which backend
-// serves is decided by EngineOptions::backend — a concrete kind, or
-// kAuto, which applies the stat-driven selection policy to the graph at
-// engine creation — and can be overridden per request
-// (QueryRequest::backend); non-primary backends are created and built
-// lazily on first use. Clients describe work as QueryRequest values
-// (vertex or group, per-request k/threshold/backend overrides, optional
-// deadline) and get back util::Result<QueryResponse>:
+// simrank/searcher_backend.h; each recycles its own per-query scratch), a
+// thread pool, and a sharded LRU result cache. Group requests are scored
+// here, once for every backend, by score-sum voting over the members'
+// single-source rankings. Which backend serves is decided by
+// EngineOptions::backend — a concrete kind, or kAuto, which applies the
+// stat-driven selection policy to the graph at engine creation — and can
+// be overridden per request (QueryRequest::backend); non-primary backends
+// are created and built lazily on first use. Clients describe work as
+// QueryRequest values (vertex or group, per-request k/threshold/backend
+// overrides, optional deadline) and get back util::Result<QueryResponse>:
 //
 //   - A *rejected* request (unknown vertex, k == 0, NaN threshold) is a
 //     non-OK Result: nothing ran.
@@ -284,8 +285,8 @@ class QueryEngine {
   Result<std::future<Result<QueryResponse>>> Submit(QueryRequest request);
 
   /// Submits every request, waits for all of them, and returns responses
-  /// in request order. Workspaces are reused across the batch through the
-  /// engine's pool instead of being allocated per query.
+  /// in request order. Per-query scratch is recycled through the
+  /// backends' freelists instead of being allocated per query.
   std::vector<Result<QueryResponse>> SubmitBatch(
       std::span<const QueryRequest> requests);
 
@@ -354,9 +355,6 @@ class QueryEngine {
   const DirectedGraph& graph() const { return graph_; }
 
  private:
-  struct Workspace;
-  class WorkspaceLease;
-
   QueryEngine(const DirectedGraph& graph, EngineOptions options);
 
   static Result<std::unique_ptr<QueryEngine>> Finish(
@@ -371,9 +369,11 @@ class QueryEngine {
                                 double queue_seconds, bool submitted);
   Result<QueryResponse> ExecuteStages(const QueryRequest& request,
                                       double queue_seconds);
+  /// Score-sum voting over the members' rankings: the one group-query
+  /// implementation, shared by every backend.
   void RunGroup(const QueryRequest& request, const SearcherBackend& backend,
-                Workspace& workspace, const QueryOverrides& overrides,
-                uint32_t effective_k, QueryResponse& response);
+                const QueryOverrides& overrides, uint32_t effective_k,
+                QueryResponse& response);
 
   /// Returns the built backend of `kind`, creating it under
   /// `backend_mutex_` on first use. `pool` runs the build when non-null
@@ -384,11 +384,6 @@ class QueryEngine {
   SearcherBackend& GetOrCreateBackend(BackendKind kind,
                                       ThreadPool* pool = nullptr) const
       SIMRANK_EXCLUDES(backend_mutex_);
-
-  std::unique_ptr<Workspace> AcquireWorkspace()
-      SIMRANK_EXCLUDES(workspace_mutex_);
-  void ReleaseWorkspace(std::unique_ptr<Workspace> workspace)
-      SIMRANK_EXCLUDES(workspace_mutex_);
 
   const DirectedGraph& graph_;
   EngineOptions options_;
@@ -411,12 +406,6 @@ class QueryEngine {
   std::unique_ptr<AdmissionController> admission_;
 
   std::atomic<size_t> queued_{0};
-
-  Mutex workspace_mutex_;
-  std::vector<std::unique_ptr<Workspace>> workspace_freelist_
-      SIMRANK_GUARDED_BY(workspace_mutex_);
-  /// Set once in Finish() before the engine is published; read-only after.
-  size_t max_pooled_workspaces_;
 
   /// Declared last: destroyed first, so the pool drains all tasks while
   /// the members they touch are still alive.

@@ -33,11 +33,6 @@ QueryResult MonteCarloBackend::Query(Vertex query,
   return searcher_.Query(query, overrides);
 }
 
-QueryResult MonteCarloBackend::QueryGroup(
-    std::span<const Vertex> group, const QueryOverrides& overrides) const {
-  return searcher_.QueryGroup(group, overrides);
-}
-
 double MonteCarloBackend::Pair(Vertex u, Vertex v) const {
   if (u == v) return 1.0;
   // Algorithm 1 with a pair-derived seed: the same (u, v) always scores

@@ -2,7 +2,6 @@
 #define SIMRANK_SIMRANK_BACKEND_MC_H_
 
 #include <memory>
-#include <span>
 
 #include "graph/graph.h"
 #include "simrank/monte_carlo.h"
@@ -13,8 +12,8 @@ namespace simrank {
 
 /// The paper's engine behind the backend contract: a thin adapter over
 /// TopKSearcher (Algorithm 3 gamma table + Algorithm 4 candidate index +
-/// Algorithm 5 adaptive Monte-Carlo scoring). Query and QueryGroup
-/// delegate verbatim — results are bit-identical to calling the searcher
+/// Algorithm 5 adaptive Monte-Carlo scoring). Query delegates
+/// verbatim — results are bit-identical to calling the searcher
 /// directly with the same options and seed.
 class MonteCarloBackend : public SearcherBackend {
  public:
@@ -41,8 +40,6 @@ class MonteCarloBackend : public SearcherBackend {
 
   QueryResult Query(Vertex query,
                     const QueryOverrides& overrides = {}) const override;
-  QueryResult QueryGroup(std::span<const Vertex> group,
-                         const QueryOverrides& overrides = {}) const override;
   double Pair(Vertex u, Vertex v) const override;
 
   const DirectedGraph& graph() const override { return searcher_.graph(); }

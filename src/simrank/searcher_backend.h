@@ -6,11 +6,13 @@
 // The engine originally hard-wired one algorithm — the paper's
 // Monte-Carlo walks + bound pruning (TopKSearcher). SearcherBackend
 // extracts the backend-agnostic surface of that class (preprocess,
-// single-source top-k, pair score, group query, capability and memory
-// reporting) so that alternative engines — a SLING-style precomputed
-// index (simrank/sling.h), the exact linear-formulation oracle
+// single-source top-k, pair score, capability and memory reporting) so
+// that alternative engines — a SLING-style precomputed index
+// (simrank/sling.h), the exact linear-formulation oracle
 // (simrank/backend_exact.h), and future PRSim/spectral/sharded points —
-// plug into service::QueryEngine behind one interface.
+// plug into service::QueryEngine behind one interface. Group requests
+// are score-sum voting over single-source queries, done once for every
+// backend in service::QueryEngine.
 //
 // Every backend answers the same question ("vertices most similar to u
 // under truncated SimRank, scores >= threshold") with a different
@@ -84,7 +86,7 @@ struct BackendCapabilities {
 
 /// One query-serving algorithm over a fixed graph. Implementations are
 /// constructed unbuilt, preprocess in Build() (idempotent), and must
-/// answer Query/QueryGroup/Pair concurrently from any number of threads
+/// answer Query/Pair concurrently from any number of threads
 /// once built. The graph must outlive the backend.
 class SearcherBackend {
  public:
@@ -111,13 +113,6 @@ class SearcherBackend {
   /// (refine_walks on the deterministic backends).
   virtual QueryResult Query(Vertex query,
                             const QueryOverrides& overrides = {}) const = 0;
-
-  /// Aggregated similarity to a set of vertices: per-member top-k queries
-  /// combined by score-sum voting, members excluded from the answer (the
-  /// recommendation pattern of TopKSearcher::QueryGroup, which remains
-  /// the reference semantics for every backend).
-  virtual QueryResult QueryGroup(std::span<const Vertex> group,
-                                 const QueryOverrides& overrides = {}) const;
 
   /// Single-pair score s(u, v). Thread-safe; requires built().
   virtual double Pair(Vertex u, Vertex v) const = 0;

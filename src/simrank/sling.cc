@@ -12,9 +12,7 @@
 #include "simrank/linear.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
-#include "util/mutex.h"
 #include "util/serialize.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 #include "util/top_k.h"
 
@@ -119,21 +117,15 @@ SlingIndex SlingIndex::Build(const DirectedGraph& graph,
                       std::span<SparseRow>(rows[u]));
     }
   };
-  if (pool == nullptr || pool->num_threads() == 1 || n == 0) {
-    build_chunk(0, n);
-  } else {
-    // One dense scratch per chunk, amortized over the chunk's sources
-    // (the QueryAll chunking pattern).
-    const size_t num_chunks = std::min<size_t>(n, pool->num_threads() * 4);
-    const size_t chunk = (n + num_chunks - 1) / num_chunks;
-    for (size_t lo = 0; lo < n; lo += chunk) {
-      const size_t hi = std::min<size_t>(lo + chunk, n);
-      pool->Submit([&build_chunk, lo, hi] {
-        build_chunk(static_cast<Vertex>(lo), static_cast<Vertex>(hi));
-      });
-    }
-    pool->Wait();
-  }
+  // One dense scratch per chunk, amortized over the chunk's sources: the
+  // same num_threads * 4 chunks ParallelFor cuts, one chunk per index.
+  const size_t num_chunks = std::max<size_t>(
+      1, std::min<size_t>(n, pool != nullptr ? pool->num_threads() * 4 : 1));
+  const size_t chunk = (n + num_chunks - 1) / num_chunks;
+  ParallelFor(pool, 0, num_chunks, [&](size_t c) {
+    build_chunk(static_cast<Vertex>(std::min<size_t>(c * chunk, n)),
+                static_cast<Vertex>(std::min<size_t>((c + 1) * chunk, n)));
+  });
 
   // Serial CSR assembly in vertex order: deterministic for any thread
   // count, and the forward rows come out column-sorted (PropagateSource
@@ -305,32 +297,26 @@ Result<SlingIndex> LoadSlingIndex(const DirectedGraph& graph,
 }
 
 /// Dense score accumulator + touched list for single-source queries.
-/// Construction is O(n); the convenience freelist below recycles
-/// instances so query loops never re-pay it.
+/// Construction is O(n); the backend's freelist recycles instances so
+/// query loops never re-pay it.
 struct SlingBackend::Workspace {
   explicit Workspace(Vertex n) : scores(n, 0.0) {}
   std::vector<double> scores;
   std::vector<Vertex> touched;
 };
 
-struct SlingBackend::WorkspacePool {
-  static constexpr size_t kMaxPooled = 64;
-  Mutex mutex;
-  std::vector<std::unique_ptr<Workspace>> free SIMRANK_GUARDED_BY(mutex);
-};
-
 SlingBackend::SlingBackend(const DirectedGraph& graph,
                            const SearchOptions& options)
     : graph_(graph),
       options_(options),
-      workspace_pool_(std::make_unique<WorkspacePool>()) {}
+      workspaces_(std::make_unique<Freelist<Workspace>>()) {}
 
 SlingBackend::SlingBackend(const DirectedGraph& graph,
                            const SearchOptions& options, SlingIndex index)
     : graph_(graph),
       options_(options),
       index_(std::make_unique<SlingIndex>(std::move(index))),
-      workspace_pool_(std::make_unique<WorkspacePool>()) {
+      workspaces_(std::make_unique<Freelist<Workspace>>()) {
   SIMRANK_CHECK_EQ(index_->num_vertices(), graph.NumVertices());
 }
 
@@ -356,28 +342,6 @@ uint64_t SlingBackend::MemoryBytes() const {
   return index_ != nullptr ? index_->MemoryBytes() : 0;
 }
 
-std::unique_ptr<SlingBackend::Workspace> SlingBackend::AcquireWorkspace()
-    const {
-  {
-    MutexLock lock(workspace_pool_->mutex);
-    if (!workspace_pool_->free.empty()) {
-      std::unique_ptr<Workspace> workspace =
-          std::move(workspace_pool_->free.back());
-      workspace_pool_->free.pop_back();
-      return workspace;
-    }
-  }
-  return std::make_unique<Workspace>(graph_.NumVertices());
-}
-
-void SlingBackend::ReleaseWorkspace(
-    std::unique_ptr<Workspace> workspace) const {
-  MutexLock lock(workspace_pool_->mutex);
-  if (workspace_pool_->free.size() < WorkspacePool::kMaxPooled) {
-    workspace_pool_->free.push_back(std::move(workspace));
-  }
-}
-
 QueryResult SlingBackend::Query(Vertex query,
                                 const QueryOverrides& overrides) const {
   obs::ScopedSpan span("sling_query");
@@ -388,7 +352,8 @@ QueryResult SlingBackend::Query(Vertex query,
   const double threshold = overrides.threshold.value_or(options_.threshold);
   const std::vector<double>& diagonal = index_->diagonal();
 
-  std::unique_ptr<Workspace> workspace = AcquireWorkspace();
+  std::unique_ptr<Workspace> workspace = workspaces_->Acquire(
+      [this] { return std::make_unique<Workspace>(graph_.NumVertices()); });
   std::vector<double>& scores = workspace->scores;
   std::vector<Vertex>& touched = workspace->touched;
 
@@ -419,7 +384,7 @@ QueryResult SlingBackend::Query(Vertex query,
     scores[v] = 0.0;  // leave the workspace clean
   }
   touched.clear();
-  ReleaseWorkspace(std::move(workspace));
+  workspaces_->Release(std::move(workspace));
   result.top = collector.TakeSorted();
   result.stats.seconds = timer.ElapsedSeconds();
   SlingMetrics& metrics = SlingMetrics::Get();

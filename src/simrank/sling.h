@@ -10,6 +10,7 @@
 #include "graph/graph.h"
 #include "simrank/searcher_backend.h"
 #include "simrank/top_k_searcher.h"
+#include "util/freelist.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -148,16 +149,12 @@ class SlingBackend : public SearcherBackend {
 
  private:
   struct Workspace;
-  struct WorkspacePool;
-
-  std::unique_ptr<Workspace> AcquireWorkspace() const;
-  void ReleaseWorkspace(std::unique_ptr<Workspace> workspace) const;
 
   const DirectedGraph& graph_;
   SearchOptions options_;
   std::unique_ptr<SlingIndex> index_;
   double preprocess_seconds_ = 0.0;
-  std::unique_ptr<WorkspacePool> workspace_pool_;
+  std::unique_ptr<Freelist<Workspace>> workspaces_;
 };
 
 }  // namespace simrank

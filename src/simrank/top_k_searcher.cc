@@ -10,8 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "simrank/linear.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace simrank {
@@ -189,7 +187,7 @@ TopKSearcher::TopKSearcher(const DirectedGraph& graph, SearchOptions options,
     : graph_(graph),
       options_(options),
       diagonal_(std::move(diagonal)),
-      workspace_pool_(std::make_unique<WorkspacePool>()) {
+      workspaces_(std::make_unique<Freelist<QueryWorkspace>>()) {
   options_.simrank.Validate();
   SIMRANK_CHECK_EQ(diagonal_.size(), graph.NumVertices());
   SIMRANK_CHECK_GE(options_.threshold, 0.0);
@@ -284,49 +282,17 @@ uint64_t TopKSearcher::PreprocessBytes() const {
   return bytes;
 }
 
-/// Bound on the convenience-overload freelist: enough for any realistic
-/// number of concurrently borrowing threads, small enough that a burst
-/// cannot pin O(n) scratch arrays forever.
-struct TopKSearcher::WorkspacePool {
-  static constexpr size_t kMaxPooled = 64;
-  Mutex mutex;
-  std::vector<std::unique_ptr<QueryWorkspace>> free SIMRANK_GUARDED_BY(mutex);
-};
-
 TopKSearcher::TopKSearcher(TopKSearcher&&) noexcept = default;
 TopKSearcher::~TopKSearcher() = default;
 
-std::unique_ptr<QueryWorkspace> TopKSearcher::AcquireWorkspace() const {
-  {
-    MutexLock lock(workspace_pool_->mutex);
-    if (!workspace_pool_->free.empty()) {
-      std::unique_ptr<QueryWorkspace> workspace =
-          std::move(workspace_pool_->free.back());
-      workspace_pool_->free.pop_back();
-      return workspace;
-    }
-  }
-  return std::make_unique<QueryWorkspace>(*this);
-}
-
-void TopKSearcher::ReleaseWorkspace(
-    std::unique_ptr<QueryWorkspace> workspace) const {
-  MutexLock lock(workspace_pool_->mutex);
-  if (workspace_pool_->free.size() < WorkspacePool::kMaxPooled) {
-    workspace_pool_->free.push_back(std::move(workspace));
-  }
-}
-
-size_t TopKSearcher::pooled_workspaces() const {
-  MutexLock lock(workspace_pool_->mutex);
-  return workspace_pool_->free.size();
-}
+size_t TopKSearcher::pooled_workspaces() const { return workspaces_->size(); }
 
 QueryResult TopKSearcher::Query(Vertex query,
                                 const QueryOverrides& overrides) const {
-  std::unique_ptr<QueryWorkspace> workspace = AcquireWorkspace();
+  std::unique_ptr<QueryWorkspace> workspace = workspaces_->Acquire(
+      [this] { return std::make_unique<QueryWorkspace>(*this); });
   QueryResult result = Query(query, *workspace, overrides);
-  ReleaseWorkspace(std::move(workspace));
+  workspaces_->Release(std::move(workspace));
   return result;
 }
 
@@ -564,73 +530,6 @@ void TopKSearcher::EvaluateCandidatesParallel(
     ++stats.refined;
     if (scores[i] >= threshold) collector.Push(survivors[i], scores[i]);
   }
-}
-
-QueryResult TopKSearcher::QueryGroup(std::span<const Vertex> group,
-                                     const QueryOverrides& overrides) const {
-  std::unique_ptr<QueryWorkspace> workspace = AcquireWorkspace();
-  QueryResult result = QueryGroup(group, *workspace, overrides);
-  ReleaseWorkspace(std::move(workspace));
-  return result;
-}
-
-QueryResult TopKSearcher::QueryGroup(std::span<const Vertex> group,
-                                     QueryWorkspace& workspace,
-                                     const QueryOverrides& overrides) const {
-  obs::ScopedSpan group_span("query_group");
-  WallTimer timer;
-  QueryResult result;
-  // Aggregate scores sparsely: dense accumulator + touched list.
-  std::vector<double>& votes = workspace.group_votes_;
-  votes.resize(graph_.NumVertices(), 0.0);
-  std::vector<Vertex> touched;
-  for (Vertex member : group) {
-    const QueryResult member_result = Query(member, workspace, overrides);
-    result.stats += member_result.stats;
-    for (const ScoredVertex& entry : member_result.top) {
-      if (votes[entry.vertex] == 0.0) touched.push_back(entry.vertex);
-      votes[entry.vertex] += entry.score;
-    }
-  }
-  // Group members never recommend themselves.
-  for (Vertex member : group) votes[member] = 0.0;
-  TopKCollector collector(overrides.k.value_or(options_.k));
-  for (Vertex v : touched) {
-    if (votes[v] > 0.0) collector.Push(v, votes[v]);
-  }
-  for (Vertex v : touched) votes[v] = 0.0;  // leave the workspace clean
-  result.top = collector.TakeSorted();
-  result.stats.seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-std::vector<std::vector<ScoredVertex>> TopKSearcher::QueryAll(
-    ThreadPool* pool) const {
-  const Vertex n = graph_.NumVertices();
-  std::vector<std::vector<ScoredVertex>> rankings(n);
-  if (pool == nullptr || pool->num_threads() == 1 || n == 0) {
-    QueryWorkspace workspace(*this);
-    for (Vertex u = 0; u < n; ++u) {
-      rankings[u] = Query(u, workspace).top;
-    }
-    return rankings;
-  }
-  // One workspace per chunk: workspaces must not outlive this call (they
-  // reference the graph), so no thread-local caching. The O(n) workspace
-  // construction amortizes over the chunk's n / (4 * threads) queries.
-  const size_t num_chunks = std::min<size_t>(n, pool->num_threads() * 4);
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t lo = 0; lo < n; lo += chunk) {
-    const size_t hi = std::min<size_t>(lo + chunk, n);
-    pool->Submit([this, lo, hi, &rankings] {
-      QueryWorkspace workspace(*this);
-      for (size_t u = lo; u < hi; ++u) {
-        rankings[u] = Query(static_cast<Vertex>(u), workspace).top;
-      }
-    });
-  }
-  pool->Wait();
-  return rankings;
 }
 
 }  // namespace simrank

@@ -14,6 +14,7 @@
 #include "simrank/monte_carlo.h"
 #include "simrank/params.h"
 #include "util/arena.h"
+#include "util/freelist.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -160,7 +161,7 @@ struct SearchOptions : QueryLimits, McTuning {
 };
 
 /// Per-query runtime knobs, applied on top of the searcher's SearchOptions
-/// for one Query/QueryGroup call. Only knobs that do not participate in the
+/// for one Query call. Only knobs that do not participate in the
 /// preprocess (gamma table, candidate index) are overridable; everything
 /// else is fixed at construction. The serving layer uses this for
 /// per-request k/threshold and for load-shed degradation (refine_walks
@@ -186,7 +187,7 @@ struct QueryStats {
   uint64_t refined = 0;
   double seconds = 0.0;
 
-  /// Field-wise accumulation (group queries, all-pairs shards, bench
+  /// Field-wise accumulation (group requests, all-pairs shards, bench
   /// loops). `seconds` adds too: the sum is total query time, which is
   /// cumulative-CPU-like when members ran on several threads.
   QueryStats& operator+=(const QueryStats& other) {
@@ -213,9 +214,9 @@ class TopKSearcher;
 
 /// Reusable per-thread scratch (BFS arrays, dedup marks). Construction is
 /// O(n); callers that manage their own threading can hold one per thread
-/// and pass it to Query explicitly. The convenience overloads that omit
-/// the workspace recycle instances through an internal freelist, so they
-/// are safe to call in a loop without re-paying the O(n) setup.
+/// and pass it to Query explicitly. The convenience overload that omits
+/// the workspace recycles instances through an internal freelist, so it
+/// is safe to call in a loop without re-paying the O(n) setup.
 class QueryWorkspace {
  public:
   explicit QueryWorkspace(const TopKSearcher& searcher);
@@ -225,8 +226,6 @@ class QueryWorkspace {
   BfsWorkspace bfs_;
   std::vector<uint32_t> marks_;
   uint32_t epoch_ = 0;
-  /// Lazily sized score accumulator for QueryGroup.
-  std::vector<double> group_votes_;
   /// Per-query bump arena backing the walk profile's tables, the L1-bound
   /// walk scratch and the serial-path candidate walks. Reset at the start
   /// of every Query, so a recycled workspace reaches its high-water mark
@@ -290,27 +289,6 @@ class TopKSearcher {
   /// (no O(n) allocation after the first call), so it is loop-safe.
   QueryResult Query(Vertex query, const QueryOverrides& overrides = {}) const;
 
-  /// Aggregated similarity to a *set* of vertices: runs a top-k query per
-  /// member and ranks candidates by the sum of their scores across
-  /// members, excluding the members themselves. This is the standard
-  /// recommendation/link-prediction pattern ("items similar to the ones
-  /// this user already has"). Stats are summed over member queries.
-  QueryResult QueryGroup(std::span<const Vertex> group,
-                         QueryWorkspace& workspace,
-                         const QueryOverrides& overrides = {}) const;
-
-  /// Convenience overload: borrows a workspace from the internal freelist
-  /// (no O(n) allocation after the first call), so it is loop-safe.
-  QueryResult QueryGroup(std::span<const Vertex> group,
-                         const QueryOverrides& overrides = {}) const;
-
-  /// Top-k for every vertex (the all-pairs mode of §2.2), parallelized over
-  /// query vertices. Returns one ranking per vertex. This is the bare
-  /// kernel loop; service::QueryEngine::QueryAll is the serving-layer
-  /// equivalent that reuses pooled workspaces and reports shard stats.
-  std::vector<std::vector<ScoredVertex>> QueryAll(
-      ThreadPool* pool = nullptr) const;
-
   /// Number of workspaces currently parked in the internal freelist
   /// (exposed for tests of the convenience-overload recycling).
   size_t pooled_workspaces() const;
@@ -320,12 +298,6 @@ class TopKSearcher {
   const CandidateIndex* candidate_index() const { return index_.get(); }
 
  private:
-  /// Pops a recycled workspace (or constructs one on first use) and pushes
-  /// it back after the query. Thread-safe; the freelist is bounded so a
-  /// burst of concurrent convenience calls cannot pin unbounded memory.
-  std::unique_ptr<QueryWorkspace> AcquireWorkspace() const;
-  void ReleaseWorkspace(std::unique_ptr<QueryWorkspace> workspace) const;
-
   /// The fan-out path behind options_.parallel_candidates >= 1: serial
   /// bound pruning collects the survivors, then the rough and refine
   /// passes each ParallelFor over intra_pool_ with per-candidate streams,
@@ -355,11 +327,10 @@ class TopKSearcher {
   bool index_built_ = false;
   double preprocess_seconds_ = 0.0;
   double diagonal_seconds_ = 0.0;
-  /// Recycled workspaces for the convenience overloads, held behind a
-  /// pointer (mutex members are immovable) so the searcher itself stays
-  /// movable for Result<TopKSearcher> loading paths.
-  struct WorkspacePool;
-  mutable std::unique_ptr<WorkspacePool> workspace_pool_;
+  /// Recycled workspaces for the convenience overload, held behind a
+  /// pointer so the searcher itself stays movable for Result<TopKSearcher>
+  /// loading paths.
+  std::unique_ptr<Freelist<QueryWorkspace>> workspaces_;
 };
 
 }  // namespace simrank

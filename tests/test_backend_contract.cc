@@ -6,11 +6,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "service/query_engine.h"
 #include "simrank/backend_exact.h"
 #include "simrank/backend_mc.h"
 #include "simrank/diagonal.h"
@@ -145,24 +145,28 @@ TEST_P(BackendContractTest, PairMatchesExactOracle) {
 }
 
 TEST_P(BackendContractTest, GroupQueryAggregatesPerMemberRankings) {
-  std::unique_ptr<SearcherBackend> backend = MakeBuilt(graph_);
+  service::EngineOptions options;
+  options.search = ContractOptions();
+  options.num_threads = 1;
+  options.enable_cache = false;
+  auto engine = service::QueryEngine::Create(graph_, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const std::vector<Vertex> group = {1, 2, 3};
-  const QueryResult result = backend->QueryGroup(group);
+  auto response = (*engine)->Query(
+      service::QueryRequest::ForGroup(group).WithBackend(GetParam()));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response->status.ok());
+  EXPECT_EQ(response->backend, GetParam());
   // Reference semantics: score-sum voting over the members' individual
-  // rankings, members never recommended.
-  std::unordered_map<Vertex, double> votes;
-  for (Vertex member : group) {
-    for (const ScoredVertex& entry : backend->Query(member).top) {
-      votes[entry.vertex] += entry.score;
-    }
-  }
-  for (Vertex member : group) votes.erase(member);
-  EXPECT_LE(result.top.size(), ContractOptions().k);
-  for (const ScoredVertex& entry : result.top) {
-    for (Vertex member : group) EXPECT_NE(entry.vertex, member);
-    const auto it = votes.find(entry.vertex);
-    ASSERT_NE(it, votes.end()) << "vote for " << entry.vertex;
-    EXPECT_NEAR(entry.score, it->second, 1e-9) << entry.vertex;
+  // rankings in member order, members never recommended.
+  const SearcherBackend& backend = (*engine)->backend(GetParam());
+  const std::vector<ScoredVertex> want = testing::MemberOrderVotes(
+      group, ContractOptions().k,
+      [&](Vertex member) { return backend.Query(member).top; });
+  ASSERT_EQ(response->top.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(response->top[i].vertex, want[i].vertex) << i;
+    EXPECT_EQ(response->top[i].score, want[i].score) << i;
   }
 }
 
@@ -269,15 +273,25 @@ TEST(MonteCarloBackendGoldenTest, BitIdenticalToDirectSearcher) {
       EXPECT_EQ(direct[i].score, adapted[i].score) << u;
     }
   }
+  // A group request served by an engine over the adapter equals the
+  // member-order vote sum over the direct searcher's rankings.
+  service::EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  engine_options.enable_cache = false;
+  auto engine = service::QueryEngine::AdoptBackend(
+      std::make_unique<MonteCarloBackend>(graph, options), engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const std::vector<Vertex> group = {4, 8, 15};
-  const std::vector<ScoredVertex> direct_group =
-      searcher.QueryGroup(group).top;
-  const std::vector<ScoredVertex> adapted_group =
-      backend.QueryGroup(group).top;
-  ASSERT_EQ(direct_group.size(), adapted_group.size());
+  const std::vector<ScoredVertex> direct_group = testing::MemberOrderVotes(
+      group, options.k,
+      [&](Vertex member) { return searcher.Query(member).top; });
+  auto adapted_group =
+      (*engine)->Query(service::QueryRequest::ForGroup(group));
+  ASSERT_TRUE(adapted_group.ok());
+  ASSERT_EQ(direct_group.size(), adapted_group->top.size());
   for (size_t i = 0; i < direct_group.size(); ++i) {
-    EXPECT_EQ(direct_group[i].vertex, adapted_group[i].vertex);
-    EXPECT_EQ(direct_group[i].score, adapted_group[i].score);
+    EXPECT_EQ(direct_group[i].vertex, adapted_group->top[i].vertex);
+    EXPECT_EQ(direct_group[i].score, adapted_group->top[i].score);
   }
 }
 

@@ -1,12 +1,16 @@
 #ifndef SIMRANK_TESTS_TEST_HELPERS_H_
 #define SIMRANK_TESTS_TEST_HELPERS_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "util/rng.h"
+#include "util/top_k.h"
 
 namespace simrank::testing {
 
@@ -43,6 +47,29 @@ inline DirectedGraph SmallRandomGraph(Vertex n, uint64_t seed,
 /// The paper's Example 1 graph: undirected star with 3 leaves ("claw"),
 /// center = vertex 0.
 inline DirectedGraph ExampleOneStar() { return MakeStar(3); }
+
+/// Reference answer of a group request, written independently of the
+/// engine: each vertex's score is the sum of its scores in the members'
+/// rankings (`rank(member)`), added in member order; members and vertices
+/// whose sum is not positive are dropped; the best k remain, best-first.
+template <typename RankFn>
+std::vector<ScoredVertex> MemberOrderVotes(const std::vector<Vertex>& group,
+                                           uint32_t k, RankFn rank) {
+  std::unordered_map<Vertex, double> sums;
+  for (Vertex member : group) {
+    for (const ScoredVertex& entry : rank(member)) {
+      sums.try_emplace(entry.vertex, 0.0).first->second += entry.score;
+    }
+  }
+  for (Vertex member : group) sums.erase(member);
+  std::vector<ScoredVertex> ranked;
+  for (const auto& [vertex, sum] : sums) {
+    if (sum > 0.0) ranked.push_back({vertex, sum});
+  }
+  std::sort(ranked.begin(), ranked.end(), ScoredVertexGreater);
+  if (ranked.size() > k) ranked.resize(k);
+  return ranked;
+}
 
 }  // namespace simrank::testing
 

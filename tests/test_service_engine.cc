@@ -191,29 +191,35 @@ TEST_F(ServiceEngineTest, SubmitBatchMatchesSerialKernel) {
   }
 }
 
-TEST_F(ServiceEngineTest, GroupRequestMatchesKernelQueryGroup) {
+TEST_F(ServiceEngineTest, GroupRequestMatchesMemberOrderVotes) {
   TopKSearcher kernel(graph_, BaseSearch());
   kernel.BuildIndex();
   auto engine = QueryEngine::Create(graph_, BaseEngine());
   ASSERT_TRUE(engine.ok());
   const std::vector<Vertex> group = {3, 14, 15, 92};
-  const QueryResult want = kernel.QueryGroup(group);
+  const std::vector<ScoredVertex> want = testing::MemberOrderVotes(
+      group, BaseSearch().k,
+      [&](Vertex member) { return kernel.Query(member).top; });
+  uint64_t refined = 0;
+  for (Vertex member : group) refined += kernel.Query(member).stats.refined;
   auto response = (*engine)->Query(QueryRequest::ForGroup(group));
   ASSERT_TRUE(response.ok());
   EXPECT_TRUE(response->status.ok());
-  ExpectSameRanking(response->top, want.top);
-  EXPECT_EQ(response->stats.refined, want.stats.refined);
+  ExpectSameRanking(response->top, want);
+  EXPECT_EQ(response->stats.refined, refined);
 }
 
-TEST_F(ServiceEngineTest, QueryAllMatchesKernelQueryAll) {
+TEST_F(ServiceEngineTest, QueryAllMatchesKernelAllPairs) {
   TopKSearcher kernel(graph_, BaseSearch());
   kernel.BuildIndex();
-  const auto want = kernel.QueryAll(nullptr);
+  const AllPairsShard want = RunAllPairs(kernel);
   auto engine = QueryEngine::Create(graph_, BaseEngine());
   ASSERT_TRUE(engine.ok());
   const auto got = (*engine)->QueryAll();
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t v = 0; v < want.size(); ++v) ExpectSameRanking(got[v], want[v]);
+  ASSERT_EQ(got.size(), want.rankings.size());
+  for (size_t v = 0; v < got.size(); ++v) {
+    ExpectSameRanking(got[v], want.rankings[v]);
+  }
 }
 
 TEST_F(ServiceEngineTest, RunAllPairsMatchesKernelShard) {
@@ -607,7 +613,8 @@ TEST_F(ServiceEngineTest, KernelConvenienceOverloadsRecycleWorkspaces) {
   // re-paying the O(n) construction each iteration.
   for (Vertex v = 0; v < 10; ++v) (void)kernel.Query(v);
   EXPECT_EQ(kernel.pooled_workspaces(), 1u);
-  (void)kernel.QueryGroup(std::vector<Vertex>{1, 2});
+  // A serial all-pairs run borrows that same workspace for every query.
+  (void)RunAllPairs(kernel);
   EXPECT_EQ(kernel.pooled_workspaces(), 1u);
 }
 

@@ -4,7 +4,9 @@
 #include "simrank/all_pairs.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <set>
 #include <string>
 
@@ -95,6 +97,61 @@ TEST_F(AllPairsTest, ParallelMatchesSerial) {
                        parallel.rankings[i][j].score);
     }
   }
+}
+
+TEST_F(AllPairsTest, MatchesIndividualQueries) {
+  const AllPairsShard shard = RunAllPairs(*searcher_);
+  ASSERT_EQ(shard.rankings.size(), graph_.NumVertices());
+  QueryWorkspace workspace(*searcher_);
+  for (Vertex u : {3u, 41u, 89u}) {
+    const QueryResult single = searcher_->Query(u, workspace);
+    ASSERT_EQ(shard.rankings[u].size(), single.top.size()) << u;
+    for (size_t i = 0; i < single.top.size(); ++i) {
+      EXPECT_EQ(shard.rankings[u][i].vertex, single.top[i].vertex) << u;
+      EXPECT_EQ(shard.rankings[u][i].score, single.top[i].score) << u;
+    }
+  }
+}
+
+// Runs `run(pool)` on a 3-thread pool while one task the run did not
+// submit blocks that pool, and expects the run to return anyway: an
+// all-pairs run shares the engine's pool with Submit traffic and must
+// wait only for its own work. Bounded: the blocker is released after the
+// wait, whatever its outcome, so a regression fails instead of hanging.
+template <typename RunFn>
+void ExpectIgnoresForeignPoolTask(RunFn run) {
+  ThreadPool pool(3);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.Submit([released] { released.wait(); });
+  auto done = std::async(std::launch::async, [&] { return run(&pool); });
+  const bool returned = done.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  release.set_value();
+  EXPECT_TRUE(returned) << "the run waited for a task it did not submit";
+  done.get();
+}
+
+TEST_F(AllPairsTest, RunAllPairsWaitsOnlyForItsOwnTasks) {
+  ExpectIgnoresForeignPoolTask([&](ThreadPool* pool) {
+    AllPairsOptions options;
+    options.pool = pool;
+    const AllPairsShard shard = RunAllPairs(*searcher_, options);
+    EXPECT_EQ(shard.rankings.size(), graph_.NumVertices());
+  });
+}
+
+TEST_F(AllPairsTest, RunAllPairsToFileWaitsOnlyForItsOwnTasks) {
+  const std::string path = ::testing::TempDir() + "/foreign_task.tsv";
+  ExpectIgnoresForeignPoolTask([&](ThreadPool* pool) {
+    AllPairsFileOptions options;
+    options.run.pool = pool;
+    const Result<AllPairsFileReport> report =
+        RunAllPairsToFile(*searcher_, options, path);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->queries, graph_.NumVertices());
+  });
+  std::remove(path.c_str());
 }
 
 TEST_F(AllPairsTest, ProgressCallbackFires) {

@@ -254,39 +254,6 @@ TEST_F(SearcherQualityTest, DeterministicAcrossRuns) {
   }
 }
 
-TEST_F(SearcherQualityTest, QueryAllMatchesIndividualQueries) {
-  SearchOptions options = DefaultOptions();
-  TopKSearcher searcher(*graph_, options);
-  searcher.BuildIndex();
-  const auto all = searcher.QueryAll();
-  ASSERT_EQ(all.size(), graph_->NumVertices());
-  QueryWorkspace workspace(searcher);
-  for (Vertex u : {3u, 77u, 200u}) {
-    const QueryResult single = searcher.Query(u, workspace);
-    ASSERT_EQ(all[u].size(), single.top.size()) << u;
-    for (size_t i = 0; i < all[u].size(); ++i) {
-      EXPECT_EQ(all[u][i].vertex, single.top[i].vertex);
-      EXPECT_DOUBLE_EQ(all[u][i].score, single.top[i].score);
-    }
-  }
-}
-
-TEST_F(SearcherQualityTest, QueryAllParallelMatchesSerial) {
-  TopKSearcher searcher(*graph_, DefaultOptions());
-  searcher.BuildIndex();
-  const auto serial = searcher.QueryAll(nullptr);
-  ThreadPool pool(4);
-  const auto parallel = searcher.QueryAll(&pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t u = 0; u < serial.size(); ++u) {
-    ASSERT_EQ(serial[u].size(), parallel[u].size()) << u;
-    for (size_t i = 0; i < serial[u].size(); ++i) {
-      EXPECT_EQ(serial[u][i].vertex, parallel[u][i].vertex) << u;
-      EXPECT_DOUBLE_EQ(serial[u][i].score, parallel[u][i].score) << u;
-    }
-  }
-}
-
 // ---------- edge cases on tiny graphs ----------
 
 TEST(SearcherEdgeCaseTest, ResultsRespectKAndThreshold) {
